@@ -9,14 +9,14 @@ values) is out of scope — with two deliberate exceptions that the
 worker-purity checkers depend on:
 
 * ``<pool>.submit(fn, ...)`` marks ``fn`` as a **worker entry point**
-  (the process-pool fan-out of ``repro.perf.workers``);
+  (the recursion engine's pool job, ``repro.core.recursion._subtree``);
 * ``functools.partial(fn, ...)`` records an edge to ``fn`` *and* marks it
-  as a worker entry, because the drivers ship branch jobs to the pool as
-  partials (``mlnd_ordering``'s ``_mlnd_branch_job``).  Over-approximating
+  as a worker entry, because the drivers ship their steps to the pool as
+  partials (the k-way and nested-dissection ``_split``).  Over-approximating
   every partial target as worker-reachable is the safe direction for a
   purity checker.
 
-Call-path traces ("``partition → _recurse → part_weights``") are computed
+Call-path traces ("``partition → _split → bisect``") are computed
 by a backward BFS from the offending function to the nearest **entry
 function** (one no project function calls), which is how findings explain
 *how* a driver reaches the defect.

@@ -41,8 +41,8 @@ required keyword-only parameters and whose class chain defines no
 re-calls ``cls(*args)`` and the parent sees a broken pool instead of
 the library error.  RP018 flags both in worker-reachable code.
 
-Findings carry a **call-path trace** (``partition → _recurse →
-part_weights``) computed from the call graph, rendered by the reporting
+Findings carry a **call-path trace** (``partition → _split →
+bisect``) computed from the call graph, rendered by the reporting
 layer both in text and as SARIF ``relatedLocations``.
 """
 

@@ -62,7 +62,7 @@ class Finding:
     rule_id: str
     message: str
     #: call-path trace (display names, entry first) for whole-program
-    #: findings — ``("partition", "_recurse", "part_weights")``.
+    #: findings — ``("partition", "_split", "bisect")``.
     trace: tuple = ()
 
     def format(self) -> str:

@@ -52,7 +52,7 @@ _MAX_REEXPORT_DEPTH = 10
 class FunctionInfo:
     """One function (or method, or nested function) in the project."""
 
-    qualname: str  #: fully dotted, e.g. ``repro.core.kway._branch_job``
+    qualname: str  #: fully dotted, e.g. ``repro.core.recursion._subtree``
     module: str  #: dotted module name
     node: object  #: the ``ast.FunctionDef`` / ``ast.AsyncFunctionDef``
     #: positional + keyword-only parameter names, in declaration order

@@ -24,6 +24,8 @@ import sys
 
 import numpy as np
 
+from repro.utils.errors import ReproError
+
 
 def _add_common_options(p):
     p.add_argument("--seed", type=int, default=4242, help="RNG seed (default 4242)")
@@ -298,6 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (OSError, ReproError) as exc:
+        # Bad input — a missing or malformed file, a bad option or REPRO_*
+        # setting — gets one line on stderr, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     if args.command == "partition":
         return _cmd_partition(args)
     if args.command == "order":
@@ -411,14 +423,8 @@ def _cmd_trace(args) -> int:
     import json
 
     from repro.obs import format_profile, profile, read_trace
-    from repro.utils.errors import TraceError
 
-    try:
-        records = read_trace(args.file)
-    except (OSError, TraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    prof = profile(records)
+    prof = profile(read_trace(args.file))
     if args.json:
         print(json.dumps(prof, indent=2, sort_keys=True))
     else:
@@ -451,7 +457,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_bench_diff(args) -> int:
     from repro.bench import regress
-    from repro.utils.errors import ConfigurationError
 
     kwargs = {}
     if args.time_tol is not None:
@@ -460,11 +465,7 @@ def _cmd_bench_diff(args) -> int:
         kwargs["cut_tol"] = args.cut_tol
     if args.min_time is not None:
         kwargs["min_time"] = args.min_time
-    try:
-        report = regress.diff_paths(args.old, args.new, **kwargs)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = regress.diff_paths(args.old, args.new, **kwargs)
     if args.markdown:
         print(regress.format_markdown(report, verbose=args.verbose))
     else:

@@ -14,9 +14,8 @@ named **backends**, each providing some subset of the phase kernels:
     only backend whose output reproduces the paper's published runs
     bit-for-bit.
 ``vectorized``
-    Whole-array NumPy kernels: the batched proposal-round matching
-    (formerly ``repro.perf.matching_vec``) and a fused-sort-key
-    contraction.  Same validity oracles; matching makes different
+    Whole-array NumPy kernels: the batched proposal-round matching and
+    a fused-sort-key contraction.  Same validity oracles; matching makes different
     (still deterministic) tie-breaks, contraction is bit-identical.
 ``numba``
     Optional ``@njit`` kernels for the FM inner loop (bucket gain

@@ -16,6 +16,17 @@ of the recursion, numbering and leaf handling:
   degree is excellent and dissection overhead is pure loss;
 * disconnected subgraphs are split into components first (a component
   boundary is a free separator of size zero).
+
+The dissection runs on the divide-and-conquer engine it shares with k-way
+partitioning, :func:`repro.core.recursion.walk`, which owns the traversal,
+the per-node RNG streams, deadline degradation and the supervised
+``workers=N`` fan-out (bit-identical to ``workers=1``; only MLND's
+multilevel bisector can be shipped to pool workers — a caller's bisector
+closure keeps the walk in-process).  This module supplies the ordering
+steps: the component split, the separator with its node-FM refinement, the
+MMD leaf and the MMD fallbacks, and the ``nd.*`` trace events.  Each node
+writes the elimination positions of the vertices it settles, so the walk
+returns the inverse permutation.
 """
 
 from __future__ import annotations
@@ -27,23 +38,18 @@ import numpy as np
 from repro.analysis.sanitize import sanitizer
 from repro.core.multilevel import bisect as ml_bisect
 from repro.core.options import DEFAULT_OPTIONS
+from repro.core.recursion import Node, Run, Tree, walk
 from repro.graph.components import connected_components, extract_subgraph
-from repro.obs.tracer import NULL as NULL_TRACER
-from repro.obs.tracer import NULL_SPAN, resolve_tracer
+from repro.obs.tracer import resolve_tracer
 from repro.ordering.base import Ordering
 from repro.ordering.mmd import mmd_ordering
 from repro.ordering.vertex_cover import vertex_separator_from_bisection
-from repro.perf.workers import (
-    fan_depth_for,
-    resolve_worker_timeout,
-    resolve_workers,
-)
 from repro.resilience.deadline import DeadlineGuard
-from repro.resilience.faults import fault_injector, worker_faults_only
+from repro.resilience.faults import fault_injector
 from repro.resilience.report import ResilienceReport
-from repro.resilience.supervisor import BranchSupervisor
 from repro.utils.errors import DeadlineExceededError, ReproError, SanitizerError
-from repro.utils.rng import as_generator, spawn_child
+from repro.utils.rng import as_generator
+from repro.utils.timing import PhaseTimer
 
 
 def mlnd_ordering(
@@ -62,79 +68,16 @@ def mlnd_ordering(
     span the whole dissection; the report lands in
     ``ordering.meta["resilience"]``.
     """
-    rng = as_generator(rng if rng is not None else options.seed)
-    faults = fault_injector(options)
-    report = ResilienceReport()
-    guard = None
-    if options.deadline is not None:
-        guard = DeadlineGuard(options.deadline)
-    trc, owned_trace = resolve_tracer(
-        None, options, run="mlnd", nvtxs=graph.nvtxs, nedges=graph.nedges
+    return nested_dissection_ordering(
+        graph, None, rng if rng is not None else options.seed,
+        leaf_size=leaf_size, method="mlnd",
+        refine_separator=refine_separator, options=options,
     )
-
-    def bisector(subgraph, child_rng):
-        return ml_bisect(
-            subgraph, options, child_rng, faults=faults, report=report,
-            guard=guard, tracer=trc,
-        ).bisection.where
-
-    # MLND's bisector is reconstructible from picklable state (just the
-    # options), so its subtrees can run in supervised pool workers — same
-    # gating as k-way ``partition``: only a fault spec naming in-process
-    # phase sites forces sequential execution.  Generic/SND dissections
-    # pass an arbitrary closure and always run sequentially.
-    branch_job = None
-    if resolve_workers(options) > 1 and worker_faults_only(faults):
-        branch_job = partial(
-            _mlnd_branch_job,
-            options=options,
-            leaf_size=leaf_size,
-            refine_separator=refine_separator,
-        )
-
-    try:
-        return nested_dissection_ordering(
-            graph, bisector, rng, leaf_size=leaf_size, method="mlnd",
-            refine_separator=refine_separator, options=options, report=report,
-            guard=guard, tracer=trc, branch_job=branch_job, faults=faults,
-        )
-    finally:
-        if owned_trace:
-            trc.close()
-
-
-def _mlnd_branch_job(sub, rng, *, options, leaf_size, refine_separator,
-                     guard=None):
-    """Dissect one MLND subtree in a pool worker.
-
-    Rebuilds the multilevel bisector from ``options`` and returns the
-    subtree's local permutation plus its resilience events for the parent
-    to merge.  Tracing is explicitly off (a pool worker must not resolve
-    the ambient trace target and race the parent for the sink).  ``guard``
-    is only passed by the supervisor's sequential fallback, which runs
-    this in the *parent* process under the remaining deadline budget;
-    pool submissions never carry one — their time budget is enforced
-    parent-side via future timeouts.
-    """
-    report = ResilienceReport()
-    faults = fault_injector(options)
-    san = sanitizer(options)
-
-    def bisector(subgraph, child_rng):
-        return ml_bisect(
-            subgraph, options, child_rng, faults=faults, report=report,
-            guard=guard, tracer=NULL_TRACER,
-        ).bisection.where
-
-    perm = np.empty(sub.nvtxs, dtype=np.int64)
-    _dissect(sub, bisector, rng, perm, leaf_size, refine_separator,
-             san, report, guard, NULL_SPAN)
-    return perm, report
 
 
 def nested_dissection_ordering(
     graph,
-    bisector,
+    bisector=None,
     rng=None,
     *,
     leaf_size: int = 120,
@@ -144,15 +87,17 @@ def nested_dissection_ordering(
     report=None,
     guard=None,
     tracer=None,
-    branch_job=None,
-    faults=None,
 ) -> Ordering:
     """Generic nested-dissection driver.
 
     Parameters
     ----------
     bisector:
-        Callable ``(subgraph, rng) → where`` returning a 0/1 assignment.
+        Callable ``(subgraph, rng) → where`` returning a 0/1 assignment, or
+        ``None`` for the multilevel bisector configured by ``options``
+        (MLND).  Only ``None`` lets independent subtrees fan out across
+        pool workers (``options.workers`` / ``REPRO_WORKERS``); a closure
+        cannot be shipped, so it always runs in-process.
     leaf_size:
         Subgraphs at or below this size are ordered with MMD.
     refine_separator:
@@ -160,8 +105,12 @@ def nested_dissection_ordering(
         node-FM refinement (see :mod:`repro.ordering.separator_refine`)
         before recursing — what the released METIS does.
     options:
-        Only consulted for ``sanitize``: when set (or ``REPRO_SANITIZE=1``)
-        every separator is checked to actually separate its subgraph.
+        :class:`~repro.core.options.MultilevelOptions` (default
+        :data:`~repro.core.options.DEFAULT_OPTIONS`): the multilevel
+        bisector's configuration, ``deadline``, ``faults``, ``workers`` and
+        worker supervision, and ``sanitize`` — when set (or
+        ``REPRO_SANITIZE=1``) every separator is checked to actually
+        separate its subgraph.
     report:
         Optional :class:`~repro.resilience.report.ResilienceReport`; a
         fresh one is created otherwise.  Attached to the result as
@@ -170,7 +119,8 @@ def nested_dissection_ordering(
         instead (recorded as a fallback); sanitizer failures still
         propagate — they mean the pipeline is broken, not the input.
     guard:
-        Optional :class:`~repro.resilience.deadline.DeadlineGuard`; once it
+        Optional :class:`~repro.resilience.deadline.DeadlineGuard`
+        (default: one armed with ``options.deadline``, if set); once it
         expires, every remaining subgraph is ordered with MMD (recorded as
         a degradation) — dissection never raises on deadline.
     tracer:
@@ -179,242 +129,180 @@ def nested_dissection_ordering(
         one ``dissect`` span carrying ``nd.separator`` / ``nd.fallback`` /
         ``nd.degraded`` events, with each sub-bisection's phase spans
         nested under it.
-    branch_job:
-        Optional *picklable* callable ``(subgraph, rng) → (perm, report)``
-        dissecting one subtree in a pool worker (it must also accept a
-        ``guard`` keyword for the supervisor's sequential fallback).  When
-        provided and the resolved worker count exceeds 1, the driver fans
-        independent subtrees across a supervised process pool
-        (:class:`~repro.resilience.supervisor.BranchSupervisor`): waits
-        are bounded by ``worker_timeout`` and the remaining deadline
-        budget, crashed or hung workers are retried and finally demoted
-        to in-process execution.  Per-entry pre-spawned RNGs make the
-        permutation bit-identical to the sequential run.
-    faults:
-        Optional fault injector; the supervisor consults its ``worker_*``
-        sites at submission time.
 
     Returns
     -------
     Ordering
     """
+    if options is None:
+        options = DEFAULT_OPTIONS
     rng = as_generator(rng)
-    san = sanitizer(options)
+    faults = fault_injector(options)
     if report is None:
         report = ResilienceReport()
+    if guard is None and options.deadline is not None:
+        guard = DeadlineGuard(options.deadline)
     n = graph.nvtxs
-    perm = np.empty(n, dtype=np.int64)
-    trc, owned_trace = resolve_tracer(tracer, options, run=method, nvtxs=n)
-    workers = resolve_workers(options)
-
+    trc, owned_trace = resolve_tracer(
+        tracer, options, run=method, nvtxs=n, nedges=graph.nedges
+    )
+    tree = Tree(
+        options, np.int64, partial(_leaf, leaf_size=leaf_size),
+        partial(_degrade),
+        partial(_split, options=options, bisector=bisector,
+                refine_separator=refine_separator),
+        shippable=bisector is None,
+    )
     try:
         with trc.span("dissect", method=method) as sp:
-            if branch_job is not None and workers > 1:
-                with BranchSupervisor(
-                    workers,
-                    fan_depth=fan_depth_for(workers),
-                    timeout=resolve_worker_timeout(options),
-                    guard=guard,
-                    max_retries=(
-                        2 if options is None else options.worker_retries
-                    ),
-                    report=report,
-                    span=sp,
-                    faults=faults,
-                ) as par:
-                    _dissect(
-                        graph, bisector, rng, perm, leaf_size,
-                        refine_separator, san, report, guard, sp,
-                        par=par, branch_job=branch_job,
-                    )
-                    for meta, branch in par.drain():
-                        vmap, lo, hi = meta
-                        sub_perm, sub_report = branch
-                        perm[lo:hi] = vmap[sub_perm]
-                        report.merge(sub_report)
-            else:
-                _dissect(
-                    graph, bisector, rng, perm, leaf_size, refine_separator,
-                    san, report, guard, sp,
-                )
+            run = Run(PhaseTimer(), report, faults, guard, trc, sp)
+            iperm = walk(tree, graph, 0, rng, run)
     finally:
         if owned_trace:
             trc.close()
 
+    perm = np.full(n, -1, dtype=np.int64)
+    perm[iperm] = np.arange(n)
     ordering = Ordering.from_perm(perm, method)
     ordering.meta["resilience"] = report
     return ordering
 
 
-def _dissect(graph, bisector, rng, perm, leaf_size, refine_separator, san,
-             report, guard, sp, *, par=None, branch_job=None):
-    """The dissection loop of :func:`nested_dissection_ordering`.
+def _order_by_mmd(out, node):
+    """Number ``node``'s vertices by MMD into its position range."""
+    leaf = mmd_ordering(node.graph)
+    out[node.vmap[leaf.perm]] = node.key + np.arange(node.graph.nvtxs)
 
-    Fills ``perm`` in place; ``sp`` is the enclosing ``dissect`` span (or a
-    null span when tracing is off).  Every stack entry owns a dedicated
-    generator, spawned by its parent *before* any sibling runs, so the
-    result is invariant to processing order — which lets ``par`` ship
-    whole subtrees at ``depth >= par.fan_depth`` to pool workers via
-    ``branch_job`` without changing a bit of the permutation.
+
+def _leaf(run, out, node, *, leaf_size):
+    """Subgraphs of at most ``leaf_size`` vertices are ordered by MMD."""
+    if node.graph.nvtxs > leaf_size:
+        return False
+    if node.graph.nvtxs:
+        _order_by_mmd(out, node)
+    return True
+
+
+def _mmd_instead(run, out, node, event, reason):
+    """Order ``node`` with MMD instead of dissecting it (the caller records why)."""
+    _order_by_mmd(out, node)
+    if run.span:
+        run.span.event(
+            event, reason=reason, nvtxs=node.graph.nvtxs, depth=node.depth
+        )
+    return []
+
+
+def _degrade(run, out, node):
+    # Budget gone: MMD the rest of the tree — valid ordering, no more
+    # dissection levels.
+    run.report.record(
+        "degradation", "ordering",
+        f"deadline expired; MMD on remaining {node.graph.nvtxs}-vertex "
+        "subgraph",
+        level=node.depth,
+    )
+    _mmd_instead(run, out, node, "nd.degraded", "deadline")
+
+
+def _split(run, out, node, streams, *, options, bisector, refine_separator):
+    """Split ``node`` into its components, or dissect it by a separator.
+
+    Separator vertices are numbered last within the node's range; the
+    two sides (or the components, side by side) become the children.
     """
-    n = graph.nvtxs
-    # Explicit stack of (subgraph, vmap, lo, hi, depth, rng) jobs;
-    # positions [lo, hi) belong to the subgraph.  Avoids Python recursion
-    # limits on deep dissections of path-like graphs.
-    stack = [(graph, np.arange(n, dtype=np.int64), 0, n, 0, rng)]
-    while stack:
-        sub, vmap, lo, hi, depth, sub_rng = stack.pop()
-        nv = sub.nvtxs
-        if nv == 0:
-            continue
-        if nv <= leaf_size:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
-            continue
-        if (
-            par is not None
-            and depth >= par.fan_depth
-            and (guard is None or not guard.expired())
-        ):
-            # Workers receive no guard object; the supervisor bounds their
-            # wall-clock parent-side.  Once the budget is gone, subtrees
-            # fall through to the MMD degradation below instead.
-            par.submit(branch_job, sub, sub_rng, meta=(vmap, lo, hi))
-            continue
+    sub, vmap, lo, depth = node.graph, node.vmap, node.key, node.depth
+    nv = sub.nvtxs
+    comp = connected_components(sub)
+    ncomp = int(comp.max()) + 1
+    if ncomp > 1:
+        # Order components independently, side by side.
+        children = []
+        for c in range(ncomp):
+            ids = np.flatnonzero(comp == c).astype(np.int64)
+            csub, _ = extract_subgraph(sub, ids)
+            children.append(Node(csub, vmap[ids], lo, depth))
+            lo += len(ids)
+        return children
 
-        comp = connected_components(sub)
-        ncomp = int(comp.max()) + 1
-        if ncomp > 1:
-            # Order components independently, side by side.
-            pos = lo
-            for c in range(ncomp):
-                ids = np.flatnonzero(comp == c).astype(np.int64)
-                csub, _ = extract_subgraph(sub, ids)
-                stack.append((csub, vmap[ids], pos, pos + len(ids), depth,
-                              spawn_child(sub_rng)))
-                pos += len(ids)
-            continue
-
-        if guard is not None and guard.expired():
-            # Budget gone: MMD the rest of the tree — valid ordering, no
-            # more dissection levels.
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
-            report.record(
-                "degradation",
-                "ordering",
-                f"deadline expired; MMD on remaining {nv}-vertex subgraph",
-                level=depth,
-            )
-            if sp:
-                sp.event(
-                    "nd.degraded", reason="deadline", nvtxs=nv, depth=depth
-                )
-            continue
-
-        # Every stream this entry uses is spawned from its own generator in
-        # a fixed order, before any child runs.
-        rng_bisect = spawn_child(sub_rng)
-        rng_refine = spawn_child(sub_rng)
-        rng_a = spawn_child(sub_rng)
-        rng_b = spawn_child(sub_rng)
-        try:
-            where = np.asarray(bisector(sub, rng_bisect))
-        except SanitizerError:
-            raise  # a broken invariant is a bug, not a recoverable fault
-        except DeadlineExceededError:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
-            report.record(
-                "degradation",
-                "ordering",
-                f"deadline expired mid-bisection; MMD on {nv}-vertex "
-                "subgraph",
-                level=depth,
-            )
-            if sp:
-                sp.event(
-                    "nd.degraded",
-                    reason="deadline-mid-bisection",
-                    nvtxs=nv,
-                    depth=depth,
-                )
-            continue
-        except ReproError as exc:
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
-            report.record(
-                "fallback",
-                "ordering",
-                f"bisector failed ({exc}); MMD on {nv}-vertex subgraph",
-                level=depth,
-            )
-            if sp:
-                sp.event(
-                    "nd.fallback",
-                    reason="bisector-error",
-                    nvtxs=nv,
-                    depth=depth,
-                )
-            continue
-        sep = vertex_separator_from_bisection(sub, where)
-        if refine_separator and len(sep):
-            from repro.ordering.separator_refine import (
-                build_labelling,
-                refine_vertex_separator,
-            )
-
-            where3 = build_labelling(sub, where, sep)
-            cap = int(np.ceil(0.55 * sub.total_vwgt()))
-            refine_vertex_separator(
-                sub, where3, rng_refine, maxpwgt=(cap, cap)
-            )
-            a_ids = np.flatnonzero(where3 == 0).astype(np.int64)
-            b_ids = np.flatnonzero(where3 == 1).astype(np.int64)
-            sep = np.flatnonzero(where3 == 2).astype(np.int64)
+    rng_bisect = next(streams)
+    rng_refine = next(streams)
+    try:
+        if bisector is None:
+            where = ml_bisect(
+                sub, options, rng_bisect, faults=run.faults,
+                report=run.report, guard=run.guard, tracer=run.trc,
+            ).bisection.where
         else:
-            in_sep = np.zeros(nv, dtype=bool)
-            in_sep[sep] = True
-            a_ids = np.flatnonzero((where == 0) & ~in_sep).astype(np.int64)
-            b_ids = np.flatnonzero((where == 1) & ~in_sep).astype(np.int64)
-        if san:
-            san.check_separator(sub, a_ids, b_ids, sep, level=depth)
-        if len(a_ids) == 0 or len(b_ids) == 0:
-            # Degenerate split (can happen on cliques where the separator
-            # swallows a side): fall back to MMD on the whole subgraph.
-            leaf = mmd_ordering(sub)
-            perm[lo:hi] = vmap[leaf.perm]
-            report.record(
-                "fallback",
-                "ordering",
-                f"degenerate split (separator swallowed a side); MMD on "
-                f"{nv}-vertex subgraph",
-                level=depth,
-            )
-            if sp:
-                sp.event(
-                    "nd.fallback",
-                    reason="degenerate-split",
-                    nvtxs=nv,
-                    depth=depth,
-                )
-            continue
+            where = bisector(sub, rng_bisect)
+        where = np.asarray(where)
+    except SanitizerError:
+        raise  # a broken invariant is a bug, not a recoverable fault
+    except DeadlineExceededError:
+        run.report.record(
+            "degradation", "ordering",
+            f"deadline expired mid-bisection; MMD on {nv}-vertex subgraph",
+            level=depth,
+        )
+        return _mmd_instead(
+            run, out, node, "nd.degraded", "deadline-mid-bisection"
+        )
+    except ReproError as exc:
+        run.report.record(
+            "fallback", "ordering",
+            f"bisector failed ({exc}); MMD on {nv}-vertex subgraph",
+            level=depth,
+        )
+        return _mmd_instead(run, out, node, "nd.fallback", "bisector-error")
+    sep = vertex_separator_from_bisection(sub, where)
+    if refine_separator and len(sep):
+        from repro.ordering.separator_refine import (
+            build_labelling,
+            refine_vertex_separator,
+        )
 
-        if sp:
-            sp.event(
-                "nd.separator",
-                depth=depth,
-                nvtxs=nv,
-                sep=len(sep),
-                a=len(a_ids),
-                b=len(b_ids),
-            )
-        # Separator vertices are numbered last within [lo, hi).
-        sep_lo = hi - len(sep)
-        perm[sep_lo:hi] = vmap[sep]
-        a_sub, _ = extract_subgraph(sub, a_ids)
-        b_sub, _ = extract_subgraph(sub, b_ids)
-        stack.append((a_sub, vmap[a_ids], lo, lo + len(a_ids), depth + 1,
-                      rng_a))
-        stack.append((b_sub, vmap[b_ids], lo + len(a_ids), sep_lo, depth + 1,
-                      rng_b))
+        where3 = build_labelling(sub, where, sep)
+        cap = int(np.ceil(0.55 * sub.total_vwgt()))
+        refine_vertex_separator(
+            sub, where3, rng_refine, maxpwgt=(cap, cap)
+        )
+        a_ids = np.flatnonzero(where3 == 0).astype(np.int64)
+        b_ids = np.flatnonzero(where3 == 1).astype(np.int64)
+        sep = np.flatnonzero(where3 == 2).astype(np.int64)
+    else:
+        in_sep = np.zeros(nv, dtype=bool)
+        in_sep[sep] = True
+        a_ids = np.flatnonzero((where == 0) & ~in_sep).astype(np.int64)
+        b_ids = np.flatnonzero((where == 1) & ~in_sep).astype(np.int64)
+    san = sanitizer(options)
+    if san:
+        san.check_separator(sub, a_ids, b_ids, sep, level=depth)
+    if len(a_ids) == 0 or len(b_ids) == 0:
+        # Degenerate split (can happen on cliques where the separator
+        # swallows a side): fall back to MMD on the whole subgraph.
+        run.report.record(
+            "fallback", "ordering",
+            f"degenerate split (separator swallowed a side); MMD on "
+            f"{nv}-vertex subgraph",
+            level=depth,
+        )
+        return _mmd_instead(run, out, node, "nd.fallback", "degenerate-split")
+
+    if run.span:
+        run.span.event(
+            "nd.separator",
+            depth=depth,
+            nvtxs=nv,
+            sep=len(sep),
+            a=len(a_ids),
+            b=len(b_ids),
+        )
+    # Separator vertices are numbered last within the node's range.
+    sep_lo = lo + nv - len(sep)
+    out[vmap[sep]] = sep_lo + np.arange(len(sep))
+    a_sub, _ = extract_subgraph(sub, a_ids)
+    b_sub, _ = extract_subgraph(sub, b_ids)
+    return [
+        Node(a_sub, vmap[a_ids], lo, depth + 1),
+        Node(b_sub, vmap[b_ids], lo + len(a_ids), depth + 1),
+    ]

@@ -1,29 +1,19 @@
-"""Process-parallel execution helpers (and kernel back-compat shims).
+"""Process-parallel execution helpers.
 
-* :mod:`repro.perf.workers` — ``ProcessPoolExecutor`` plumbing for fanning
-  the independent subgraph branches of recursive bisection and nested
-  dissection across processes (``MultilevelOptions.workers`` /
-  ``REPRO_WORKERS`` / ``--workers``), with per-branch child RNGs seeded so
-  ``workers=N`` is bit-identical to ``workers=1``.  Branch jobs run under
-  the supervised runtime in :mod:`repro.resilience.supervisor` (per-branch
-  timeouts via ``worker_timeout`` / ``REPRO_WORKER_TIMEOUT``, crash
-  recovery, deadline propagation).
-* :mod:`repro.perf.matching_vec` — back-compat shim: the vectorized
-  matching kernel now lives in the :mod:`repro.kernels` registry (the
-  ``vectorized`` backend), selected with ``options.kernels`` /
-  ``REPRO_KERNELS`` / ``--kernels`` or the legacy
-  ``matching_impl="vectorized"``.
-
-Everything here is *semantics-preserving by construction*: the vectorized
-kernels satisfy the same validity/maximality oracles as the loop kernels
-(:func:`repro.core.matching.is_valid_matching`,
-:func:`repro.core.matching.is_maximal_matching`), and the worker fan-out
-never changes a partition vector, cut value or ordering permutation.
+:mod:`repro.perf.workers` holds the ``ProcessPoolExecutor`` plumbing for
+fanning the independent subgraph branches of recursive bisection and
+nested dissection across processes (``MultilevelOptions.workers`` /
+``REPRO_WORKERS`` / ``--workers``).  The fan-out itself lives in the
+shared recursion engine (:mod:`repro.core.recursion`), which gives every
+branch its own pre-spawned RNG stream so ``workers=N`` is bit-identical
+to ``workers=1``, and runs branch jobs under the supervised runtime in
+:mod:`repro.resilience.supervisor` (per-branch timeouts via
+``worker_timeout`` / ``REPRO_WORKER_TIMEOUT``, crash recovery, deadline
+propagation).  The vectorized kernels live in the :mod:`repro.kernels`
+registry.
 """
 
-from repro.kernels import vectorized_matching
 from repro.perf.workers import (
-    BranchDispatch,
     branch_executor,
     fan_depth_for,
     resolve_worker_timeout,
@@ -31,10 +21,8 @@ from repro.perf.workers import (
 )
 
 __all__ = [
-    "vectorized_matching",
     "resolve_workers",
     "resolve_worker_timeout",
     "fan_depth_for",
     "branch_executor",
-    "BranchDispatch",
 ]

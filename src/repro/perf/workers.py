@@ -3,10 +3,11 @@
 The recursion trees of :func:`repro.core.kway.partition` and nested
 dissection split a graph into *independent* subgraphs: once the separator
 (or bisection) of a node is fixed, the two sides never exchange
-information.  The drivers therefore pre-spawn one child RNG per branch in
-a fixed order (see :func:`repro.utils.rng.spawn_child`) and may evaluate
-the branches in any order — or in other processes — without changing a
-single bit of the result.  This module holds the shared plumbing:
+information.  The shared recursion engine (:mod:`repro.core.recursion`)
+therefore gives every branch its own pre-spawned RNG stream (see
+:func:`repro.utils.rng.spawn_child`) and may evaluate branches in any
+order — or in other processes — without changing a single bit of the
+result.  This module holds the configuration and pool helpers it uses:
 
 * :func:`resolve_workers` — ``options.workers`` falling back to the
   ``REPRO_WORKERS`` environment variable, defaulting to 1;
@@ -16,22 +17,17 @@ single bit of the result.  This module holds the shared plumbing:
   start method the platform offers;
 * :func:`resolve_worker_timeout` — ``options.worker_timeout`` falling
   back to the ``REPRO_WORKER_TIMEOUT`` environment variable, defaulting
-  to ``None`` (no per-branch timeout);
-* :class:`BranchDispatch` — collects submitted branch futures so drivers
-  can merge child results (assignments, phase timers, resilience events)
-  in deterministic submission order.
+  to ``None`` (no per-branch timeout).
 
-The drivers no longer dispatch through a bare pool: branch jobs run under
-the supervised runtime in :mod:`repro.resilience.supervisor`, which slices
-time budgets from the deadline guard, retries crashed or hung workers and
-degrades stubborn branches to in-process sequential execution.
-:func:`branch_executor` and :class:`BranchDispatch` remain the unmanaged
-building blocks (the supervisor composes the former; the latter is kept
-for callers that want raw fan-out without supervision).
+Branch jobs run under the supervised runtime in
+:mod:`repro.resilience.supervisor`, which builds its pools with
+:func:`branch_executor`, slices time budgets from the deadline guard,
+retries crashed or hung workers and degrades stubborn branches to
+in-process sequential execution.
 
-Only two configurations still force the drivers sequential: a
-caller-supplied bisector closure (unpicklable) and a fault spec naming
-in-process phase sites (injector countdowns are process-local state; see
+Only two configurations keep the engine sequential: a caller-supplied
+bisector closure (unpicklable) and a fault spec naming in-process phase
+sites (injector countdowns are process-local state; see
 :func:`repro.resilience.faults.worker_faults_only`).  Results are
 identical either way.
 """
@@ -109,40 +105,6 @@ def branch_executor(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
-class BranchDispatch:
-    """Collects branch-job futures for deterministic, ordered merging.
-
-    ``submit`` mirrors ``executor.submit`` but records ``meta`` (whatever
-    the driver needs to place the child's answer — a destination slice,
-    a part offset, a vertex map) alongside the future; ``drain`` yields
-    ``(meta, result)`` in submission order, so merged artefacts (timer
-    totals, resilience events) are ordered the same way on every run.
-    """
-
-    __slots__ = ("executor", "fan_depth", "_pending")
-
-    def __init__(self, executor, fan_depth: int):
-        self.executor = executor
-        self.fan_depth = fan_depth
-        self._pending = []
-
-    def submit(self, fn, /, *args, meta=None):
-        future = self.executor.submit(fn, *args)
-        self._pending.append((meta, future))
-        return future
-
-    def drain(self):
-        """Yield ``(meta, result)`` per submitted job, in submission order.
-
-        Blocks on each future in turn; a child exception propagates to the
-        caller unchanged (the pool re-raises it here), which matches the
-        sequential path's behaviour.
-        """
-        pending, self._pending = self._pending, []
-        for meta, future in pending:
-            yield meta, future.result()
-
-
 __all__ = [
     "WORKERS_ENV",
     "WORKER_TIMEOUT_ENV",
@@ -150,5 +112,4 @@ __all__ = [
     "resolve_worker_timeout",
     "fan_depth_for",
     "branch_executor",
-    "BranchDispatch",
 ]

@@ -117,11 +117,11 @@ class _BranchJob:
 
 
 class BranchSupervisor:
-    """Supervised replacement for ``branch_executor`` + ``BranchDispatch``.
+    """Supervised process pool for recursion branches.
 
-    Context manager.  Drivers ``submit`` branch jobs (same surface as
-    :class:`~repro.perf.workers.BranchDispatch`, including ``fan_depth``)
-    and ``drain`` ``(meta, result)`` pairs in submission order; crashes,
+    Context manager.  The recursion engine (:mod:`repro.core.recursion`)
+    calls ``submit`` for each branch job from depth ``fan_depth`` on, then
+    ``drain`` for the ``(meta, result)`` pairs in submission order; crashes,
     hangs and timeouts are absorbed by the retry ladder described in the
     module docstring instead of propagating.  Exceptions *raised by the
     branch itself* (a ``ReproError`` from the pipeline) still propagate
@@ -131,9 +131,9 @@ class BranchSupervisor:
     Parameters
     ----------
     workers:
-        Pool size (> 1; the drivers keep ``workers=1`` sequential).
+        Pool size (> 1; ``workers=1`` walks stay sequential).
     fan_depth:
-        Recursion depth at which drivers start submitting (default
+        Recursion depth at which the engine starts submitting (default
         ``fan_depth_for(workers)``).
     timeout:
         Per-branch wait budget in seconds (``options.worker_timeout`` /

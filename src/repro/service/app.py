@@ -611,12 +611,19 @@ async def serve_async(service: PartitionService, host: str = "127.0.0.1",
     socket is listening — how embedders and tests learn an ephemeral port.
     """
     connections: set[asyncio.Task] = set()
+    closing = False
 
     async def handler(reader, writer):
         task = asyncio.current_task()
         connections.add(task)
         try:
             await _handle_connection(service, reader, writer)
+        except asyncio.CancelledError:
+            if not closing:
+                raise
+            # Cancelled by the shutdown below.  Ending the task normally
+            # keeps asyncio's stream callback (which calls
+            # ``task.exception()`` on it) from logging a traceback.
         finally:
             connections.discard(task)
 
@@ -630,6 +637,7 @@ async def serve_async(service: PartitionService, host: str = "127.0.0.1",
         await stop.wait()
     # Idle keep-alive connections would otherwise outlive the loop and
     # close their transports after loop.close() (an unraisable error).
+    closing = True
     for task in list(connections):
         task.cancel()
     if connections:

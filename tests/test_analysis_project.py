@@ -179,6 +179,35 @@ class TestCallGraph:
         graph = build_call_graph(project)
         assert graph.display_path("pkg.mod.leaf") == ["entry", "mid", "leaf"]
 
+    def test_shipped_pipeline_is_worker_reachable(self):
+        """On the real tree, the code pool workers run stays reachable.
+
+        The worker rules (RP014/RP015/RP016/RP018) check only
+        ``worker_reachable()``; if the recursion engine's pool job or the
+        drivers' shipped steps stopped resolving statically, they would
+        silently stop checking the pipeline.
+        """
+        files, roots = discover_python_files([REPO_ROOT / "src" / "repro"])
+        graph = build_call_graph(build_project(files, roots))
+        reach = graph.worker_reachable()
+        for qualname in (
+            "repro.core.recursion._subtree",
+            "repro.core.kway._leaf",
+            "repro.core.kway._degrade",
+            "repro.core.kway._split",
+            "repro.ordering.nested_dissection._leaf",
+            "repro.ordering.nested_dissection._degrade",
+            "repro.ordering.nested_dissection._split",
+            "repro.core.multilevel.bisect",
+            "repro.graph.components.extract_subgraph",
+            "repro.graph.components.connected_components",
+            "repro.ordering.mmd.mmd_ordering",
+            "repro.ordering.vertex_cover.vertex_separator_from_bisection",
+            "repro.ordering.separator_refine.build_labelling",
+            "repro.ordering.separator_refine.refine_vertex_separator",
+        ):
+            assert qualname in reach, qualname
+
 
 class TestParseOnce:
     def test_each_module_parsed_exactly_once(self, tmp_path, monkeypatch):

@@ -101,3 +101,29 @@ class TestInfo:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestBadInput:
+    """Bad input exits 2 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["info", "{tmp}/absent.graph"], {}),
+            (["partition", "{tmp}/asymmetric.graph", "2"], {}),
+            (["order", "{graph}"], {"REPRO_WORKERS": "abc"}),
+            (["partition", "{graph}", "2", "--worker-timeout", "-1"], {}),
+        ],
+        ids=["missing-file", "asymmetric-graph", "bad-env-knob", "bad-flag"],
+    )
+    def test_one_line_error_exit_2(self, argv, env, graph_file, tmp_path,
+                                   capsys, monkeypatch):
+        # Vertex 2 lists 3, but vertex 3 lists nobody.
+        (tmp_path / "asymmetric.graph").write_text("3 2\n2\n1 3\n\n")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = [a.format(tmp=tmp_path, graph=graph_file) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

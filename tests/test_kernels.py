@@ -36,6 +36,7 @@ from repro.core.matching import (
 from repro.core.multilevel import bisect
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.core.refine import fm_pass
+from repro.graph import from_edge_list
 from repro.graph.contract import contract
 from repro.graph.partition import edge_cut
 from repro.kernels import (
@@ -52,6 +53,7 @@ from repro.matrices import load
 from repro.matrices.mesh2d import grid2d
 from repro.matrices.mesh3d import fe_tet3d
 from repro.obs import read_trace
+from repro.ordering import mlnd_ordering, snd_ordering
 from repro.utils.errors import ConfigurationError
 
 
@@ -199,6 +201,31 @@ _GOLDEN_4ELT_BISECT = (48, "e6893ab610dab3c8")
 _GOLDEN_BC31_CUT = 7553
 _GOLDEN_BC31_PWGTS = [142, 144, 129, 139, 130, 130, 133, 133]
 _GOLDEN_BC31_BISECT = (2636, "462ff37deb9d9719")
+# Pinned before k-way partitioning and nested dissection moved onto the
+# shared recursion engine (repro.core.recursion): a change in the order the
+# per-node RNG streams are spawned shows up here, at workers=1 and under
+# REPRO_WORKERS=2 alike.
+_GOLDEN_BC31_KWAY64 = (17155, "fe80d2818e5f13a7")
+_GOLDEN_ORDERINGS = {
+    ("4ELT", 0.2, "mlnd"): "24d9131ac2b2202d",
+    ("4ELT", 0.2, "snd"): "7236e8881d0fa246",
+    ("BCSSTK31", 0.3, "mlnd"): "6a32edd6def2053d",
+    ("BCSSTK31", 0.3, "snd"): "7bf01e515b249c18",
+}
+_GOLDEN_DISCONNECTED_MLND = "2e4164a7b0e4f8d5"
+
+
+def _disjoint_grids():
+    """A 15x17 grid and a 20x20 grid side by side: two components."""
+    edges = []
+    offset = 0
+    for g in (grid2d(15, 17), grid2d(20, 20)):
+        src = np.repeat(np.arange(g.nvtxs), np.diff(g.xadj))
+        keep = src < g.adjncy
+        edges += zip((src[keep] + offset).tolist(),
+                     (g.adjncy[keep] + offset).tolist())
+        offset += g.nvtxs
+    return from_edge_list(offset, edges)
 
 
 class TestLoopGolden:
@@ -229,6 +256,26 @@ class TestLoopGolden:
         cut, digest = _GOLDEN_BC31_BISECT
         assert r.bisection.cut == cut
         assert _where_hash(r.bisection.where) == digest
+
+    def test_bcsstk31_64way_where_hash(self):
+        g = load("BCSSTK31", scale=0.3, seed=0)
+        p = partition(g, 64, DEFAULT_OPTIONS, np.random.default_rng(1995))
+        cut, digest = _GOLDEN_BC31_KWAY64
+        assert p.cut == cut
+        assert _where_hash(p.where) == digest
+
+    @pytest.mark.parametrize("name,scale,method", sorted(_GOLDEN_ORDERINGS))
+    def test_nd_permutation_hash(self, name, scale, method):
+        g = load(name, scale=scale, seed=0)
+        order = {"mlnd": mlnd_ordering, "snd": snd_ordering}[method]
+        o = order(g, DEFAULT_OPTIONS, np.random.default_rng(1995))
+        assert _where_hash(o.perm) == _GOLDEN_ORDERINGS[(name, scale, method)]
+
+    def test_disconnected_mlnd_permutation_hash(self):
+        o = mlnd_ordering(
+            _disjoint_grids(), DEFAULT_OPTIONS, np.random.default_rng(1995)
+        )
+        assert _where_hash(o.perm) == _GOLDEN_DISCONNECTED_MLND
 
     def test_grid_scheme_variants(self):
         g = grid2d(40, 30)

@@ -1,4 +1,4 @@
-"""Tests for the vectorized matching kernel (repro.perf.matching_vec).
+"""Tests for the vectorized matching kernel (``vectorized`` backend of repro.kernels).
 
 The vectorized kernel is an alternative implementation of the §3.1
 matchings, selected with ``MultilevelOptions.matching_impl``; it must
@@ -21,7 +21,7 @@ from repro.core.matching import (
 )
 from repro.core.options import DEFAULT_OPTIONS, MatchingScheme
 from repro.matrices import grid2d, suite
-from repro.perf.matching_vec import segment_max, vectorized_matching
+from repro.kernels import segment_max, vectorized_matching
 from repro.utils.errors import ConfigurationError
 from tests.conftest import random_graph
 

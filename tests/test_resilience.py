@@ -541,8 +541,9 @@ class TestCLI:
         assert "resilience: 1 event(s)" in out
         assert "[retry/initial]" in out
 
-    def test_bad_deadline_is_a_config_error(self, graph_file):
+    def test_bad_deadline_is_a_config_error(self, graph_file, capsys):
         from repro.cli import main
 
-        with pytest.raises(ConfigurationError):
-            main(["partition", graph_file, "2", "--deadline", "-1"])
+        assert main(["partition", graph_file, "2", "--deadline", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: deadline must be positive")

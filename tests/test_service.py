@@ -327,6 +327,19 @@ class TestJobQueue:
 # HTTP end to end
 # --------------------------------------------------------------------------
 class TestEndpoints:
+    def test_stop_closes_idle_keepalive_quietly(self, capfd, caplog):
+        srv = BackgroundServer()
+        addr = srv.start()
+        with socket.create_connection(addr, timeout=60) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+            # The connection stays open and idle while the server stops.
+            capfd.readouterr()
+            srv.stop()
+            err = capfd.readouterr().err
+        assert "CancelledError" not in err and "Traceback" not in err
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+
     def test_healthz_and_stats(self, server):
         status, body = _request(server.address, "GET", "/healthz")
         assert status == 200 and body["status"] == "ok"
