@@ -13,9 +13,11 @@ performance trajectory:
   lower is better; a regression is ``new > old × (1 + cut_tol)``;
 * everything else is **informational** — reported, never gating.
 
-Rows are keyed by ``(matrix, scheme)``; rows present on only one side are
-reported but do not gate (a shrunk matrix list usually means a different
-``REPRO_BENCH_*`` configuration, which the payload's env block shows).
+Rows are keyed by ``(matrix, scheme)``.  A table, row or numeric column
+of the baseline (OLD) that the new snapshot lacks fails the gate: a
+snapshot that silently drops cells must not pass as "no regressions"
+(when the matrix list shrank on purpose, regenerate the baseline).
+Tables, rows and columns only in NEW are reported but do not gate.
 The CLI surface is ``repro bench-diff OLD NEW [--fail-on-regress]``.
 """
 
@@ -91,6 +93,9 @@ class DiffReport:
 
     cells: list = field(default_factory=list)
     missing_rows: list = field(default_factory=list)  #: in old only
+    #: (table, matrix, scheme, column): numeric in old, absent or
+    #: non-numeric in new
+    missing_columns: list = field(default_factory=list)
     added_rows: list = field(default_factory=list)  #: in new only
     missing_tables: list = field(default_factory=list)
     added_tables: list = field(default_factory=list)
@@ -105,9 +110,19 @@ class DiffReport:
         )
 
     @property
+    def missing(self) -> int:
+        """Baseline tables, rows and columns the new snapshot lacks."""
+        return (
+            len(self.missing_tables)
+            + len(self.missing_rows)
+            + len(self.missing_columns)
+        )
+
+    @property
     def ok(self) -> bool:
-        """True when no cell regressed."""
-        return not any(c.regressed for c in self.cells)
+        """True when no cell regressed and nothing of the baseline is
+        missing from the new snapshot."""
+        return not self.missing and not any(c.regressed for c in self.cells)
 
 
 def _rows_by_key(payload: dict) -> dict:
@@ -150,10 +165,11 @@ def diff_payloads(
         matrix, scheme = key
         before, after = old_rows[key], new_rows[key]
         for column in before:
-            if column not in after:
+            o, n = _numeric(before[column]), _numeric(after.get(column))
+            if o is None:
                 continue
-            o, n = _numeric(before[column]), _numeric(after[column])
-            if o is None or n is None:
+            if n is None:
+                report.missing_columns.append((table, matrix, scheme, column))
                 continue
             kind = classify_column(column)
             regressed = False
@@ -236,7 +252,8 @@ def format_report(report: DiffReport, *, verbose: bool = False) -> str:
     regressions = report.regressions
     lines.append(
         f"compared {compared} cells: "
-        f"{len(regressions)} regression(s)"
+        f"{len(regressions)} regression(s), "
+        f"{report.missing} missing from NEW"
     )
     for cell in regressions:
         lines.append(
@@ -253,11 +270,15 @@ def format_report(report: DiffReport, *, verbose: bool = False) -> str:
                     f"{cell.new:g} (x{cell.ratio:.2f})"
                 )
     for table in report.missing_tables:
-        lines.append(f"  note: table {table} present only in OLD")
+        lines.append(f"  MISSING table {table} present only in OLD")
+    for table, matrix, scheme in report.missing_rows:
+        lines.append(f"  MISSING row {table}/{matrix}/{scheme} only in OLD")
+    for table, matrix, scheme, column in report.missing_columns:
+        lines.append(
+            f"  MISSING column {table}/{matrix}/{scheme} {column} only in OLD"
+        )
     for table in report.added_tables:
         lines.append(f"  note: table {table} present only in NEW")
-    for table, matrix, scheme in report.missing_rows:
-        lines.append(f"  note: row {table}/{matrix}/{scheme} only in OLD")
     for table, matrix, scheme in report.added_rows:
         lines.append(f"  note: row {table}/{matrix}/{scheme} only in NEW")
     return "\n".join(lines)
@@ -272,7 +293,8 @@ def format_markdown(report: DiffReport, *, verbose: bool = False) -> str:
     """
     regressions = report.regressions
     status = "✅ no regressions" if report.ok else (
-        f"❌ {len(regressions)} regression(s)"
+        f"❌ {len(regressions)} regression(s), "
+        f"{report.missing} missing from NEW"
     )
     lines = [
         "### Bench diff",
@@ -294,12 +316,16 @@ def format_markdown(report: DiffReport, *, verbose: bool = False) -> str:
                 f"| {cell.new:g} | x{cell.ratio:.2f} |"
             )
     notes = [
-        *(f"table `{t}` present only in OLD" for t in report.missing_tables),
-        *(f"table `{t}` present only in NEW" for t in report.added_tables),
+        *(f"MISSING table `{t}` present only in OLD" for t in report.missing_tables),
         *(
-            f"row `{t}/{m}/{s}` only in OLD"
+            f"MISSING row `{t}/{m}/{s}` only in OLD"
             for t, m, s in report.missing_rows
         ),
+        *(
+            f"MISSING column `{t}/{m}/{s}` `{c}` only in OLD"
+            for t, m, s, c in report.missing_columns
+        ),
+        *(f"table `{t}` present only in NEW" for t in report.added_tables),
         *(f"row `{t}/{m}/{s}` only in NEW" for t, m, s in report.added_rows),
     ]
     if notes:

@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("new", help="candidate snapshot: BENCH_*.json file or directory")
     p.add_argument(
         "--fail-on-regress", action="store_true",
-        help="exit non-zero when any time/quality cell regressed",
+        help="exit non-zero when any time/quality cell regressed or a "
+             "baseline table, row or column is missing from NEW",
     )
     p.add_argument(
         "--time-tol", type=float, default=None, metavar="FRAC",

@@ -4,7 +4,9 @@ Recursive bisection and nested dissection repeatedly carve subgraphs out of
 a parent graph; :func:`extract_subgraph` is the shared kernel for that, and
 :func:`connected_components` supports both the generators (which guarantee
 connected outputs) and the partitioners (GGP/GGGP need a starting vertex per
-component).
+component) and nested dissection (which splits a node into its components).
+Both are numpy-only, with no per-vertex Python loop; their outputs, dtypes
+included, equal those of the BFS and gather loops the tests keep as oracle.
 """
 
 from __future__ import annotations
@@ -19,29 +21,31 @@ def connected_components(graph) -> np.ndarray:
 
     Returns an int32 array ``comp`` with ``comp[v]`` in ``[0, ncomp)``;
     component ids are assigned in order of discovery (lowest vertex id
-    first).  Iterative BFS — no recursion-depth hazards on path graphs.
+    first), i.e. by each component's smallest vertex.
+
+    Min-label hooking with pointer jumping: each tree root adopts the
+    smallest root across its edges, then every tree is compressed to a
+    star.  ``root[v] <= v`` throughout, so trees stay acyclic and end
+    rooted at their component's smallest vertex.  A root that neither
+    hooks nor absorbs a tree in a round hooks in the next, so the tree
+    count halves every two rounds: O(log n) rounds, even on paths.
     """
-    n = graph.nvtxs
-    comp = np.full(n, -1, dtype=np.int32)
-    xadj, adjncy = graph.xadj, graph.adjncy
-    current = 0
-    stack = np.empty(n, dtype=np.int64)
-    for root in range(n):
-        if comp[root] != -1:
-            continue
-        comp[root] = current
-        stack[0] = root
-        top = 1
-        while top:
-            top -= 1
-            v = stack[top]
-            for u in adjncy[xadj[v] : xadj[v + 1]]:
-                if comp[u] == -1:
-                    comp[u] = current
-                    stack[top] = u
-                    top += 1
-        current += 1
-    return comp
+    root = np.arange(graph.nvtxs, dtype=np.int64)
+    src, dst = graph.edge_sources(), graph.adjncy
+    while True:
+        rs, rd = root[src], root[dst]
+        cross = rs < rd
+        if not cross.any():
+            break
+        np.minimum.at(root, rd[cross], rs[cross])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    # Number the components by their smallest vertex (the roots).
+    ids = np.cumsum(root == np.arange(len(root)), dtype=np.int32) - 1
+    return ids[root]
 
 
 def num_components(graph) -> int:
@@ -76,39 +80,30 @@ def extract_subgraph(graph, vertices):
         sliced through.
     """
     vertices = np.asarray(vertices, dtype=np.int64)
-    n = graph.nvtxs
-    local = np.full(n, -1, dtype=np.int64)
-    local[vertices] = np.arange(len(vertices), dtype=np.int64)
-
-    xadj, adjncy, adjwgt = graph.xadj, graph.adjncy, graph.adjwgt
-    # Gather each kept vertex's adjacency, keeping only in-subgraph targets.
-    sub_xadj = np.zeros(len(vertices) + 1, dtype=np.int64)
-    chunks_n = []
-    chunks_w = []
-    for i, v in enumerate(vertices):
-        s, e = xadj[v], xadj[v + 1]
-        nbrs = local[adjncy[s:e]]
-        keep = nbrs >= 0
-        chunks_n.append(nbrs[keep])
-        chunks_w.append(adjwgt[s:e][keep])
-        sub_xadj[i + 1] = sub_xadj[i] + int(keep.sum())
-    sub_adjncy = (
-        np.concatenate(chunks_n).astype(INDEX_DTYPE)
-        if chunks_n
-        else np.empty(0, dtype=INDEX_DTYPE)
-    )
-    sub_adjwgt = (
-        np.concatenate(chunks_w) if chunks_w else np.empty(0, dtype=np.int64)
-    )
+    local = np.full(graph.nvtxs, -1, dtype=INDEX_DTYPE)
+    local[vertices] = np.arange(len(vertices), dtype=INDEX_DTYPE)
+    # Gather every kept vertex's edge range, rows in the order given.
+    starts = graph.xadj[vertices]
+    counts = graph.xadj[vertices + 1] - starts
+    bounds = np.zeros(len(vertices) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    pos = np.arange(bounds[-1], dtype=np.int64)
+    pos += np.repeat(starts - bounds[:-1], counts)
+    # Keep only in-subgraph targets; a row's kept count is the running
+    # count of kept entries sampled at the row bounds.
+    nbrs = local[graph.adjncy[pos]]
+    keep = nbrs >= 0
+    kept = np.zeros(len(pos) + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
     sub = CSRGraph(
-        sub_xadj,
-        sub_adjncy,
-        sub_adjwgt,
-        graph.vwgt[vertices].copy(),
+        kept[bounds],
+        nbrs[keep],
+        graph.adjwgt[pos[keep]],
+        graph.vwgt[vertices],
         validate=False,
     )
     if graph.coords is not None:
-        sub.coords = graph.coords[vertices].copy()
+        sub.coords = graph.coords[vertices]
     return sub, vertices
 
 

@@ -216,10 +216,12 @@ def _split(run, out, node, streams, *, options, bisector, refine_separator):
     comp = connected_components(sub)
     ncomp = int(comp.max()) + 1
     if ncomp > 1:
-        # Order components independently, side by side.
+        # Order components independently, side by side.  One stable sort
+        # groups every component's vertex ids, ascending within each.
+        order = np.argsort(comp, kind="stable")
+        bounds = np.cumsum(np.bincount(comp))[:-1]
         children = []
-        for c in range(ncomp):
-            ids = np.flatnonzero(comp == c).astype(np.int64)
+        for ids in np.split(order, bounds):
             csub, _ = extract_subgraph(sub, ids)
             children.append(Node(csub, vmap[ids], lo, depth))
             lo += len(ids)

@@ -26,11 +26,12 @@ run's :class:`~repro.resilience.report.ResilienceReport` serialized by
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 
 from repro.core.options import DEFAULT_OPTIONS, MultilevelOptions
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import INDEX_DTYPE, WEIGHT_DTYPE, CSRGraph
 from repro.service.cache import where_digest
 from repro.utils.errors import (
     ConfigurationError,
@@ -103,6 +104,33 @@ def parse_options(obj) -> MultilevelOptions:
         raise ServiceRequestError(f"invalid options: {exc}") from exc
 
 
+def _int_array(values, what: str, dtype) -> np.ndarray:
+    """``values`` as an int64 array whose entries all fit ``dtype``.
+
+    Only JSON integers pass: a float is not truncated and a bool is not
+    read as 0/1, and a value outside ``dtype``'s range is rejected before
+    any narrowing cast could wrap or overflow it.
+    """
+    if not isinstance(values, list):
+        raise ServiceRequestError(f"{what} must be a JSON array of integers")
+    kinds = set(map(type, values)) - {int}
+    if kinds:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise ServiceRequestError(f"{what} must hold only integers, not {names}")
+    info = np.iinfo(dtype)
+    try:
+        arr = np.fromiter(values, dtype=np.int64, count=len(values))
+        fits = not len(arr) or (arr.min() >= info.min and arr.max() <= info.max)
+    except OverflowError:  # beyond int64
+        fits = False
+    if not fits:
+        raise ServiceRequestError(
+            f"{what} has an entry outside the {info.dtype} range "
+            f"[{info.min}, {info.max}]"
+        )
+    return arr
+
+
 def _csr_from_inline(obj) -> CSRGraph:
     obj = _expect_mapping(obj, "graph")
     unknown = set(obj) - {"xadj", "adjncy", "adjwgt", "vwgt"}
@@ -111,16 +139,17 @@ def _csr_from_inline(obj) -> CSRGraph:
     for required in ("xadj", "adjncy"):
         if required not in obj:
             raise ServiceRequestError(f"graph is missing {required!r}")
+    xadj = _int_array(obj["xadj"], "xadj", np.int64)
+    adjncy = _int_array(obj["adjncy"], "adjncy", INDEX_DTYPE)
+    adjwgt, vwgt = (
+        None if obj.get(name) is None else _int_array(obj[name], name, WEIGHT_DTYPE)
+        for name in ("adjwgt", "vwgt")
+    )
     try:
-        return CSRGraph(
-            np.asarray(obj["xadj"], dtype=np.int64),
-            np.asarray(obj["adjncy"], dtype=np.int32),
-            None if obj.get("adjwgt") is None else np.asarray(obj["adjwgt"], dtype=np.int64),
-            None if obj.get("vwgt") is None else np.asarray(obj["vwgt"], dtype=np.int64),
-        )
+        return CSRGraph(xadj, adjncy, adjwgt, vwgt)
     except GraphValidationError as exc:
         raise ServiceRequestError(f"invalid graph: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # e.g. an empty xadj
         raise ServiceRequestError(f"malformed CSR arrays: {exc}") from exc
 
 
@@ -134,13 +163,18 @@ def _csr_from_workload(obj) -> CSRGraph:
     name = obj.get("name")
     if not isinstance(name, str):
         raise ServiceRequestError("workload needs a string 'name'")
+    scale = obj.get("scale", 1.0)
+    if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
+        raise ServiceRequestError(
+            f"workload scale must be a finite number > 0, got {scale!r}"
+        )
+    seed = obj.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ServiceRequestError(
+            f"workload seed must be an integer >= 0, got {seed!r}"
+        )
     try:
-        scale = float(obj.get("scale", 1.0))
-        seed = int(obj.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ServiceRequestError(f"malformed workload parameters: {exc}") from exc
-    try:
-        return suite.load(name, scale=scale, seed=seed)
+        return suite.load(name, scale=float(scale), seed=seed)
     except UnknownWorkloadError as exc:
         raise ServiceRequestError(str(exc.args[0]), status=404) from exc
 

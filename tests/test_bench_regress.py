@@ -8,6 +8,7 @@ from repro.bench.regress import (
     classify_column,
     diff_paths,
     diff_payloads,
+    format_markdown,
     format_report,
 )
 from repro.cli import main as cli_main
@@ -79,14 +80,42 @@ class TestDiffPayloads:
         )
         assert report.ok  # 10x, but both under min_time
 
-    def test_missing_and_added_rows_reported_not_gating(self):
+    def test_missing_rows_gate_added_rows_do_not(self):
         old = payload()
         new = payload()
         new["rows"][0]["matrix"] = "4ELT"
         report = diff_payloads(old, new)
-        assert report.ok
+        assert not report.ok
+        assert report.missing == 1
         assert report.missing_rows == [("fig4_runtime", "BCSSTK31", "mlkp")]
         assert report.added_rows == [("fig4_runtime", "4ELT", "mlkp")]
+
+    def test_added_row_alone_does_not_gate(self):
+        new = payload()
+        new["rows"].append(
+            {"matrix": "4ELT", "scheme": "mlkp", "values": {"cut": 9}}
+        )
+        report = diff_payloads(payload(), new)
+        assert report.ok
+        assert report.added_rows == [("fig4_runtime", "4ELT", "mlkp")]
+
+    @pytest.mark.parametrize("dropped", ["null", "absent"])
+    def test_missing_column_gates(self, dropped):
+        new = payload()
+        if dropped == "null":
+            new["rows"][0]["values"]["cut"] = None
+        else:
+            del new["rows"][0]["values"]["cut"]
+        report = diff_payloads(payload(), new)
+        assert not report.ok
+        assert report.missing_columns == [
+            ("fig4_runtime", "BCSSTK31", "mlkp", "cut")
+        ]
+        assert "MISSING column" in format_report(report)
+        assert "1 missing from NEW" in format_markdown(report)
+
+    def test_added_column_does_not_gate(self):
+        assert diff_payloads(payload(), payload(extra_ms=3.0)).ok
 
     def test_format_report_mentions_regressions(self):
         report = diff_payloads(payload(), payload(time_seconds=9.0))
@@ -107,8 +136,12 @@ class TestDirMode:
         self._write(old_dir / "BENCH_table2.json", payload(table="table2"))
         self._write(new_dir / "BENCH_fig4_runtime.json", payload())
         report = diff_paths(str(old_dir), str(new_dir))
-        assert report.ok
+        assert not report.ok
         assert report.missing_tables == ["table2"]
+        # A table only in NEW is reported but does not gate.
+        report = diff_paths(str(new_dir), str(old_dir))
+        assert report.ok
+        assert report.added_tables == ["table2"]
 
     def test_empty_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
@@ -139,6 +172,14 @@ class TestCLIExitCodes:
         new = self._file(tmp_path, "new.json", payload(time_seconds=5.0))
         assert cli_main(["bench-diff", old, new]) == 0
         assert "REGRESS" in capsys.readouterr().out
+
+    def test_dropped_column_exits_nonzero(self, tmp_path, capsys):
+        old = self._file(tmp_path, "old.json", payload())
+        thinned = payload()
+        del thinned["rows"][0]["values"]["time_seconds"]
+        new = self._file(tmp_path, "new.json", thinned)
+        assert cli_main(["bench-diff", old, new, "--fail-on-regress"]) == 1
+        assert "MISSING column" in capsys.readouterr().out
 
     def test_wide_tolerance_accepts_slowdown(self, tmp_path, capsys):
         old = self._file(tmp_path, "old.json", payload())

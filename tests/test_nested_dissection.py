@@ -1,5 +1,7 @@
 """Tests for nested dissection orderings (MLND and SND)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,29 @@ class TestMLND:
         g = path_graph(3000)
         o = mlnd_ordering(g, DEFAULT_OPTIONS, np.random.default_rng(5), leaf_size=4)
         o.verify()
+
+    def test_mesh_with_many_isolated_vertices(self):
+        """A 30x30 grid scattered among 3,000 isolated vertices: the
+        top node splits into 3,001 components in one pass, and the
+        ordering is pinned (recorded with per-component ``flatnonzero``
+        splitting)."""
+        from repro.graph import from_edge_list
+        from repro.matrices import grid2d
+
+        mesh = grid2d(30, 30)
+        n = mesh.nvtxs + 3000
+        label = np.random.default_rng(5).permutation(n)
+        src = mesh.edge_sources()
+        keep = src < mesh.adjncy
+        g = from_edge_list(
+            n, np.column_stack([label[src[keep]], label[mesh.adjncy[keep]]])
+        )
+        o = mlnd_ordering(g, DEFAULT_OPTIONS, np.random.default_rng(1995))
+        o.verify()
+        digest = hashlib.sha256(
+            np.asarray(o.perm, dtype=np.int64).tobytes()
+        ).hexdigest()[:16]
+        assert digest == "fd778be237beaf17"
 
 
 class TestSND:

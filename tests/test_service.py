@@ -271,6 +271,59 @@ class TestSchema:
         with pytest.raises(ServiceRequestError, match="missing 'adjncy'"):
             graph_from_request({"graph": {"xadj": [0]}})
 
+    @staticmethod
+    def _rejected(body, match):
+        exc = pytest.raises(
+            ServiceRequestError, graph_from_request, body
+        )
+        assert exc.value.status == 400
+        assert exc.match(match)
+
+    def test_inline_float_weights_rejected_not_truncated(self):
+        self._rejected(
+            {"graph": {"xadj": [0, 1, 2], "adjncy": [1, 0],
+                       "adjwgt": [1.9, 1.9]}},
+            "adjwgt must hold only integers, not float",
+        )
+
+    def test_inline_bools_rejected(self):
+        self._rejected(
+            {"graph": {"xadj": [0, 1, 2], "adjncy": [1, 0],
+                       "vwgt": [True, 1]}},
+            "vwgt must hold only integers, not bool",
+        )
+
+    def test_inline_index_beyond_int32_rejected(self):
+        for big in (3_000_000_000, 2**70):
+            self._rejected(
+                {"graph": {"xadj": [0, 1, 2], "adjncy": [big, 0]}},
+                "adjncy has an entry outside the int32 range",
+            )
+        self._rejected(
+            {"graph": {"xadj": [0, 1, 2], "adjncy": [3e9, 0]}},
+            "adjncy must hold only integers, not float",
+        )
+
+    def test_inline_integer_arrays_accepted(self):
+        g = graph_from_request(
+            {"graph": {"xadj": [0, 1, 2], "adjncy": [1, 0],
+                       "adjwgt": [2**53, 2**53], "vwgt": [3, 4]}}
+        )
+        assert g.adjwgt.tolist() == [2**53, 2**53]
+        assert g.vwgt.tolist() == [3, 4]
+
+    def test_workload_nan_scale_rejected(self):
+        self._rejected(
+            {"workload": {"name": "4ELT", "scale": float("nan")}},
+            "scale must be a finite number > 0",
+        )
+
+    def test_workload_negative_scale_rejected(self):
+        self._rejected(
+            {"workload": {"name": "4ELT", "scale": -1}},
+            "scale must be a finite number > 0",
+        )
+
     def test_unknown_workload_is_404(self):
         exc = pytest.raises(
             ServiceRequestError,
